@@ -459,28 +459,17 @@ fn bench_path(args: &[String]) -> String {
         .unwrap_or_else(|| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")))
 }
 
-/// Extracts the integer following `"key":` from a flat JSON document.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let path = bench_path(&args);
 
     if args.iter().any(|a| a == "--check") {
         let doc = std::fs::read_to_string(&path).expect("BENCH_serve.json present at repo root");
-        let recorded = json_u64(&doc, "sim_packets_per_sec")
-            .or_else(|| json_u64(&doc, "packets_per_sec"))
-            .expect("sim_packets_per_sec recorded");
-        let recorded_fast = json_u64(&doc, "fast_packets_per_sec").unwrap_or(0);
-        let recorded_5k = json_u64(&doc, "reactor5k_packets_per_sec");
+        let doc = Json::parse(&doc).expect("BENCH_serve.json parses");
+        let recorded_u64 = |key: &str| doc.get(key).and_then(Json::as_u64);
+        let recorded = recorded_u64("sim_packets_per_sec").expect("sim_packets_per_sec recorded");
+        let recorded_fast = recorded_u64("fast_packets_per_sec").unwrap_or(0);
+        let recorded_5k = recorded_u64("reactor5k_packets_per_sec");
         let (sim, sim_opt) = measure_sim_pair(8, 2);
         // The fast backend finishes a jobs=8 rep in tens of milliseconds,
         // where connect/warmup costs dominate and understate the rate —
@@ -496,7 +485,7 @@ fn main() {
         let reactor5k = measure_reactor_fanin(5_000, 200, 1);
         let batch = measure_backend_rate(false, Duration::from_millis(200));
         let (swap_p50, swap_p99) = measure_swap_latency(10);
-        let recorded_swap = json_u64(&doc, "swap_latency_p99_us");
+        let recorded_swap = recorded_u64("swap_latency_p99_us");
         let floor = recorded as f64 / 3.0;
         println!(
             "serve perf check: sim {sim:.0} pkts/sec (recorded {recorded}, floor {floor:.0}), \
@@ -655,15 +644,11 @@ fn main() {
         // `--check` floor holds it at or above 0.8x the same-run O0 rate.
         .with("sim_packets_per_sec_opt", (sim_opt.round() as u64).into())
         .with("fast_packets_per_sec", (fast.round() as u64).into())
-        // The tracing-plane contract fields: the traced-off rate is the
-        // canonical fast rate (tracing disabled must cost nothing), the
+        // The tracing-plane contract fields: `fast_packets_per_sec` above
+        // is the traced-off rate (tracing disabled must cost nothing), the
         // traced rate is the instrumented path, and the overhead is the
         // measured gap (design target: under 2%; interleaved reps +
         // clamping keep it non-negative).
-        .with(
-            "fast_packets_per_sec_traced_off",
-            (fast.round() as u64).into(),
-        )
         .with(
             "fast_packets_per_sec_traced",
             (traced.round() as u64).into(),
@@ -705,10 +690,7 @@ fn main() {
         // measurement over 50 sequential add/withdraw pairs with two
         // closed-loop connections keeping the drain barrier contended.
         .with("swap_latency_p50_us", swap_p50.into())
-        .with("swap_latency_p99_us", swap_p99.into())
-        // Legacy key, kept pointing at the reference backend so older
-        // tooling reading `packets_per_sec` keeps working.
-        .with("packets_per_sec", (sim.round() as u64).into());
+        .with("swap_latency_p99_us", swap_p99.into());
     std::fs::write(&path, format!("{}\n", doc.pretty())).expect("write BENCH_serve.json");
     println!("  written to {path}");
 }

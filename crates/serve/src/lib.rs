@@ -39,9 +39,15 @@
 //!   activation to amortize per-`step()` overhead;
 //! * [`supervisor`] — restarts a panicked shard on its surviving queue
 //!   and counts `shard_restarts`;
-//! * [`server`] — the TCP acceptor loop, per-connection read/write
-//!   deadlines, graceful drain (in-flight packets complete, new submits
-//!   refused);
+//! * `session` — the per-connection protocol state machine both
+//!   frontends drive: handshake settlement, control and drain gating,
+//!   stats-stream subscription, and the in-flight submit / route / drain
+//!   waits (blocking or polled);
+//! * [`server`] — service startup, the one accept loop (connection cap,
+//!   fd-exhaustion backoff), and the threads frontend's blocking
+//!   per-connection loop;
+//! * [`reactor`] — the epoll frontend: event loops driving the same
+//!   sessions, with interest-based backpressure (unix only);
 //! * [`stats`] — per-shard [`memsync_trace::MetricsRegistry`] instances
 //!   merged into one stats frame (throughput, queue-depth high-water,
 //!   batch-size histogram, p50/p99 service latency);
@@ -72,6 +78,7 @@ pub mod queue;
 pub mod reactor;
 pub mod router;
 pub mod server;
+mod session;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
@@ -94,9 +101,11 @@ use std::time::Duration;
 
 /// Which connection-handling frontend the server runs.
 ///
-/// Both frontends speak the same protocol against the same
-/// router/shard/tracing plane; they differ only in how connections are
-/// multiplexed onto OS threads.
+/// Both frontends drive the same per-connection protocol session against
+/// the same router/shard/tracing plane. They differ in how connections
+/// are multiplexed onto OS threads, and in one policy: on a full shard
+/// queue the threads frontend answers `Busy` at once, while the reactor
+/// defers the submit for up to `job_timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontendKind {
     /// One blocking OS thread per connection (the original frontend).

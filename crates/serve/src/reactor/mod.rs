@@ -3,63 +3,60 @@
 //!
 //! The blocking frontend burns one OS thread (and its stack) per
 //! connection; at thousands of connections the scheduler, not the
-//! forwarding backend, becomes the bottleneck. This module serves the
-//! same frame protocol against the same [`Router`]/shard/tracing plane
-//! from `config.reactor_threads` event loops. It is the process-level
-//! analogue of the paper's multi-port memory controller: many requesters
-//! multiplexed onto a fixed set of banked service ports, with per-
-//! requester flow control instead of unbounded buffering.
+//! forwarding backend, becomes the bottleneck. This module drives the
+//! same per-connection `Session` — which alone decides what a frame
+//! means — from `config.reactor_threads` event loops. It is the
+//! process-level analogue of the paper's multi-port memory controller:
+//! many requesters multiplexed onto a fixed set of banked service ports,
+//! with per-requester flow control instead of unbounded buffering.
 //!
-//! Per connection the loop keeps a small state machine:
+//! What stays here is I/O only:
 //!
 //! * **reads** go through the resumable [`FrameReader`] — its partial-
-//!   frame resume across `WouldBlock` (originally built for blocking-
-//!   read timeouts) is exactly the nonblocking-read contract;
+//!   frame resume across `WouldBlock` is exactly the nonblocking-read
+//!   contract — and each complete frame goes straight to the session;
+//! * **waits** are the session's own in-flight types, held in `Work`
+//!   and resolved with non-blocking `poll`s instead of blocking `wait`s;
 //! * **writes** go through the [`FrameWriter`] egress queue, resuming
 //!   partial writes on writable events;
 //! * **backpressure** is by interest, not by buffering: a connection
-//!   with an in-flight submit, a saturated target shard, or more than
-//!   [`EGRESS_HIGH_WATER`] bytes of unread responses has its read
-//!   interest dropped — the bytes back up into the peer's socket, and
-//!   server-side memory stays bounded. Read interest re-arms when the
-//!   egress queue falls under [`EGRESS_LOW_WATER`] (hysteresis, so
-//!   interest doesn't flap around the threshold).
+//!   with work in flight or more than [`EGRESS_HIGH_WATER`] bytes of
+//!   unread responses has its read interest dropped — the bytes back up
+//!   into the peer's socket, and server-side memory stays bounded. Read
+//!   interest re-arms when the egress queue falls under
+//!   [`EGRESS_LOW_WATER`] (hysteresis, so interest doesn't flap).
 //!
-//! A submit that hits a full shard queue is *deferred* (at most one per
-//! connection — the packets stay in the connection's scratch) and
-//! retried when shard outcomes wake the loop; only a defer that outlives
-//! `job_timeout` becomes a `Busy` response. That converts the blocking
-//! frontend's Busy-storm under fan-in into flow control, while keeping
-//! the same all-or-nothing router semantics.
+//! The reactor's own policy: a submit that finds a shard queue full is
+//! *deferred* (at most one per connection — the packets stay in the
+//! session scratch) and retried when shard outcomes wake the loop; only
+//! a defer that outlives `job_timeout` becomes a `Busy` response. That
+//! turns the blocking frontend's Busy-storm under fan-in into flow
+//! control, with the same all-or-nothing router semantics.
 //!
-//! Shard threads wake the loop through the [`Reply`] waker (a self-pipe
-//! registered at token 0), so outcome collection is event-driven; a
-//! periodic sweep catches what wakes cannot (deadlines, idle peers, and
-//! shard death noticed via channel disconnect).
+//! Shard threads and the control worker wake the loop through the
+//! session's reply waker (a self-pipe registered at token 0), so outcome
+//! collection is event-driven; a periodic sweep catches what wakes
+//! cannot (deadlines, idle peers, stats pushes, and shard death noticed
+//! via channel disconnect).
 
-use crate::frame::{
-    decode_submit_into, is_submit, settle_version, FrameError, FrameReader, FrameWriter, Request,
-    Response, SubmitOptions, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
+use crate::frame::{FrameReader, FrameWriter, Response};
+use crate::queue::ReplyWaker;
+use crate::server::{accept_loop, Shared, POLL};
+use crate::session::{
+    busy, render_stats, Answer, QuiesceWait, RouteWait, Session, Step, Submit, SubmitWait, Then,
+    Tick,
 };
-use crate::queue::{JobOutcome, Reply, ReplyWaker};
-use crate::router::ShardSplitter;
-use crate::server::{
-    is_fd_exhaustion, reject_over_capacity, render_stats, server_hello, Shared, ACCEPT_BACKOFF_MAX,
-    ACCEPT_BACKOFF_MIN, POLL,
-};
-use crate::tables::{ControlOp, ControlOutcome, ControlReply};
-use crate::tracing::PendingSpan;
-use memsync_netapp::Ipv4Packet;
+use std::convert::Infallible;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-mod poller;
+pub(crate) mod poller;
 pub(crate) mod sys;
 
 use poller::{Event, Interest, WakeReceiver, Waker};
@@ -83,8 +80,9 @@ const TICK: Duration = Duration::from_millis(25);
 const WAKE_TOKEN: u64 = 0;
 
 /// Spawns the reactor frontend: `config.reactor_threads` event loops
-/// (0 = one per available CPU) plus the sharding accept thread. Returns
-/// every spawned handle; they all exit once `shared.stop` is raised.
+/// (0 = one per available CPU) plus the accept thread that deals
+/// connections round-robin across them. Returns every spawned handle;
+/// they all exit once `shared.stop` is raised.
 pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Vec<JoinHandle<()>>> {
     let threads = match shared.config.reactor_threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
@@ -105,164 +103,58 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Ve
                 .map_err(|e| io::Error::new(e.kind(), "reactor thread spawn failed"))?,
         );
     }
-    let accept_shared = Arc::clone(&shared);
+    let mut next = 0usize;
     handles.push(
         std::thread::Builder::new()
             .name("memsync-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared, &inboxes))
+            .spawn(move || {
+                accept_loop(&listener, &shared, |stream| {
+                    // Accepted sockets do not inherit the listener's
+                    // nonblocking flag; set it before the reactor ever
+                    // touches the stream.
+                    if stream.set_nonblocking(true).is_err() {
+                        return false;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let (tx, waker) = &inboxes[next % inboxes.len()];
+                    next = next.wrapping_add(1);
+                    tx.send(stream).map(|()| waker.wake()).is_ok()
+                });
+            })
             .map_err(|e| io::Error::new(e.kind(), "accept thread spawn failed"))?,
     );
     Ok(handles)
 }
 
-/// Accepts connections and deals them round-robin across the reactor
-/// threads, enforcing the connection cap and pausing (with backoff)
-/// under fd exhaustion instead of hot-spinning.
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    inboxes: &[(Sender<TcpStream>, Arc<Waker>)],
-) {
-    // The listener gets its own tiny poller so accept wakes on demand
-    // but still observes the stop flag every POLL.
-    let mut accept_poller = poller::Poller::new().ok();
-    if let Some(p) = accept_poller.as_mut() {
-        if p.register(
-            listener.as_raw_fd(),
-            0,
-            Interest {
-                readable: true,
-                writable: false,
-            },
-        )
-        .is_err()
-        {
-            accept_poller = None;
-        }
-    }
-    let mut events = Vec::new();
-    let mut next = 0usize;
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    while !shared.stop.load(Ordering::Acquire) {
-        match accept_poller.as_mut() {
-            Some(p) => {
-                events.clear();
-                let _ = p.wait(&mut events, POLL);
-            }
-            // Degraded mode (poller construction failed): plain polling.
-            None => std::thread::sleep(POLL),
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    backoff = ACCEPT_BACKOFF_MIN;
-                    if shared.frontend.conns_open.load(Ordering::Relaxed)
-                        >= shared.config.max_conns as u64
-                    {
-                        reject_over_capacity(stream, shared);
-                        continue;
-                    }
-                    // Accepted sockets do not inherit the listener's
-                    // nonblocking flag; set it before the reactor ever
-                    // touches the stream.
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    shared.frontend.conn_opened();
-                    let (tx, waker) = &inboxes[next % inboxes.len()];
-                    next = next.wrapping_add(1);
-                    if tx.send(stream).is_ok() {
-                        waker.wake();
-                    } else {
-                        shared.frontend.conn_closed();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if is_fd_exhaustion(&e) => {
-                    shared
-                        .frontend
-                        .accept_pauses
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    break;
-                }
-                Err(_) => {
-                    std::thread::sleep(POLL);
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Outstanding submit: outcomes still being collected from the shards.
+/// A submit parked on a full shard queue, retried on shard-completion
+/// wakes until its deadline.
 #[derive(Debug)]
-struct PendingSubmit {
-    rx: Receiver<JobOutcome>,
-    jobs_left: usize,
-    forwarded: u32,
-    dropped: u32,
-    mismatches: u32,
-    span: Option<PendingSpan>,
-    deadline: Instant,
-}
-
-/// Submit parked on a full shard queue; the packets stay in the
-/// connection scratch and the submit retries on shard-completion wakes.
-#[derive(Debug)]
-struct DeferredSubmit {
-    options: SubmitOptions,
-    decode_ns: u64,
+struct Deferred {
+    submit: Submit,
     blocked_shard: u16,
-    deadline: Instant,
-}
-
-/// Drain/shutdown response parked until the shard fleet is quiescent.
-#[derive(Debug)]
-struct PendingControl {
-    shutdown: bool,
-    deadline: Instant,
-}
-
-/// Route mutation parked until the control worker has published the new
-/// table generation and run the shard drain barrier. The worker wakes
-/// the loop through the [`ControlReply`] waker, so the park costs no
-/// polling — and the event loop never computes a `Dir24_8` rebuild
-/// inline, so data connections on the same reactor thread keep flowing.
-#[derive(Debug)]
-struct PendingRoute {
-    rx: Receiver<ControlOutcome>,
     deadline: Instant,
 }
 
 /// What a connection is waiting on. While non-`Idle`, reads are paused:
 /// one request is in flight per connection at a time, which is what
 /// bounds server-side memory per connection.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 enum Work {
-    #[default]
     Idle,
-    Submit(PendingSubmit),
-    Deferred(DeferredSubmit),
-    Control(PendingControl),
-    Route(PendingRoute),
+    Submit(SubmitWait),
+    Deferred(Deferred),
+    Quiesce(QuiesceWait),
+    Route(RouteWait),
 }
 
-/// Per-connection state machine.
+/// Per-connection I/O state around its [`Session`].
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     frames: FrameReader,
     out: FrameWriter,
-    /// Decoded submit scratch (also the parked packets of a deferral).
-    packets: Vec<Ipv4Packet>,
-    splitter: ShardSplitter,
     encoded: Vec<u8>,
-    /// Protocol version the Hello handshake settled (v3 gates the
-    /// control frames); `None` until greeted.
-    settled: Option<u16>,
+    session: Session,
     work: Work,
     /// In the reactor's work list (dedup flag).
     queued: bool,
@@ -276,66 +168,12 @@ struct Conn {
     write_on: bool,
     /// Read interest dropped for egress high-water (hysteresis state).
     read_paused_hw: bool,
-    /// Idle-deadline bookkeeping: last frame/progress/write activity.
-    last_activity: Instant,
-    last_seen_progress: usize,
-    stream_every: Option<Duration>,
-    last_push: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shards: usize) -> Conn {
-        let now = Instant::now();
-        Conn {
-            stream,
-            frames: FrameReader::new(),
-            out: FrameWriter::new(),
-            packets: Vec::new(),
-            splitter: ShardSplitter::new(shards),
-            encoded: Vec::new(),
-            settled: None,
-            work: Work::Idle,
-            queued: false,
-            closing: false,
-            shutdown_after: false,
-            read_on: true,
-            write_on: false,
-            read_paused_hw: false,
-            last_activity: now,
-            last_seen_progress: 0,
-            stream_every: None,
-            last_push: now,
-        }
-    }
-
-    /// Encodes `rsp` onto the egress queue and opportunistically flushes.
-    ///
-    /// # Errors
-    ///
-    /// A hard write failure — the connection is dead.
-    fn send(&mut self, rsp: &Response) -> io::Result<()> {
-        rsp.encode_into(&mut self.encoded);
-        self.out.enqueue(&self.encoded);
-        self.flush().map(|_| ())
-    }
-
-    /// Drives the egress queue; `Ok(drained)`.
-    fn flush(&mut self) -> io::Result<bool> {
-        self.out.write(&mut &self.stream)
-    }
-
     fn idle(&self) -> bool {
         matches!(self.work, Work::Idle)
     }
-}
-
-/// How a read step ended (computed under the connection borrow, acted on
-/// after it is released).
-enum ReadStep {
-    Frame,
-    Closed,
-    Blocked,
-    Failed,
 }
 
 /// One event-loop thread: owns a poller, its deal of the connections,
@@ -350,14 +188,9 @@ struct Reactor {
     free: Vec<usize>,
     /// Slots with outstanding work, deduplicated via `Conn::queued`.
     work: Vec<usize>,
-    /// Reactor-level copy of the frame being dispatched. One memcpy per
-    /// frame, so the borrow of the connection's `FrameReader` ends
-    /// before dispatch mutates the rest of the connection.
-    scratch: Vec<u8>,
     last_sweep: Instant,
-    /// Sweep scratch (avoid per-tick allocation).
-    due_push: Vec<usize>,
-    due_close: Vec<usize>,
+    /// Sweep scratch: connections whose tick asked for something.
+    due: Vec<(usize, Tick)>,
 }
 
 impl Reactor {
@@ -385,10 +218,8 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             work: Vec::new(),
-            scratch: Vec::new(),
             last_sweep: Instant::now(),
-            due_push: Vec::new(),
-            due_close: Vec::new(),
+            due: Vec::new(),
         })
     }
 
@@ -448,7 +279,21 @@ impl Reactor {
                 self.shared.frontend.conn_closed();
                 continue;
             }
-            self.conns[idx] = Some(Conn::new(stream, self.shared.router.shards()));
+            let waker = Arc::clone(&self.waker) as Arc<dyn ReplyWaker>;
+            self.conns[idx] = Some(Conn {
+                stream,
+                frames: FrameReader::new(),
+                out: FrameWriter::new(),
+                encoded: Vec::new(),
+                session: Session::new(&self.shared, Some(waker)),
+                work: Work::Idle,
+                queued: false,
+                closing: false,
+                shutdown_after: false,
+                read_on: true,
+                write_on: false,
+                read_paused_hw: false,
+            });
         }
     }
 
@@ -466,385 +311,68 @@ impl Reactor {
             if conn.closing || !conn.idle() || conn.out.pending() >= EGRESS_HIGH_WATER {
                 break;
             }
-            let step = {
-                let Conn { frames, stream, .. } = conn;
-                match frames.read(&mut &*stream) {
-                    Ok(Some(payload)) => {
-                        self.scratch.clear();
-                        self.scratch.extend_from_slice(payload);
-                        ReadStep::Frame
-                    }
-                    Ok(None) => ReadStep::Closed,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::Interrupted =>
-                    {
-                        ReadStep::Blocked
-                    }
-                    Err(_) => ReadStep::Failed,
+            let Conn {
+                frames,
+                stream,
+                session,
+                ..
+            } = conn;
+            let step = match frames.read(&mut &*stream) {
+                Ok(Some(payload)) => session.on_frame(&self.shared, payload),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::Interrupted =>
+                {
+                    break
                 }
+                Ok(None) | Err(_) => return self.close_conn(idx),
             };
-            match step {
-                ReadStep::Frame => self.handle_frame(idx),
-                ReadStep::Blocked => break,
-                ReadStep::Closed | ReadStep::Failed => {
-                    self.close_conn(idx);
-                    return;
-                }
-            }
+            self.dispatch(idx, step);
         }
         self.update_interest(idx);
     }
 
     /// Flushes pending egress on a writable event.
     fn drive_write(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+        let Some(conn) = self.conn_mut(idx) else {
             return;
         };
         if conn.out.is_empty() {
             return;
         }
-        match conn.flush() {
-            Ok(_) => {
-                conn.last_activity = Instant::now();
-                self.after_io(idx);
-            }
+        match conn.out.write(&mut &conn.stream) {
+            Ok(_) => self.after_io(idx),
             Err(_) => self.close_conn(idx),
         }
     }
 
-    /// Dispatches the frame sitting in `self.scratch`. Mirrors the
-    /// blocking `serve_connection` dispatch arm for arm, with the
-    /// blocking waits replaced by [`Work`] states.
-    fn handle_frame(&mut self, idx: usize) {
-        let shared = Arc::clone(&self.shared);
-        let decode_started = shared.tracer.enabled().then(Instant::now);
-        let settled = {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            conn.last_activity = Instant::now();
-            // Any complete client frame ends an active stats stream.
-            conn.stream_every = None;
-            conn.settled
-        };
-        // Submit fast path (same rationale as the blocking frontend:
-        // decode into the connection's packet scratch, no fresh Vec).
-        if settled.is_some() && is_submit(&self.scratch) {
-            let decoded = {
-                let (scratch, conns) = (&self.scratch, &mut self.conns);
-                let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                    return;
-                };
-                decode_submit_into(scratch, &mut conn.packets)
-            };
-            match decoded {
-                Ok(options) => {
-                    let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.start_submit(idx, options, decode_ns);
-                }
-                Err(e) => self.respond(idx, &Response::Error(e.to_string())),
-            }
-            return;
-        }
-        match Request::decode(&self.scratch) {
-            Ok(Request::Hello {
-                min_version,
-                max_version,
-            }) => {
-                if let Some(version) = settle_version(min_version, max_version) {
-                    if let Some(conn) = self.conn_mut(idx) {
-                        conn.settled = Some(version);
-                    }
-                    self.respond(idx, &Response::Hello(server_hello(&shared, version)));
-                } else {
-                    self.respond_close(
-                        idx,
-                        &Response::Error(format!(
-                            "no common protocol version: client speaks \
-                             {min_version}..={max_version}, server speaks \
-                             {PROTOCOL_MIN_SUPPORTED}..={PROTOCOL_VERSION}"
-                        )),
-                    );
-                }
-            }
-            Ok(req) if settled.is_none() => {
-                self.respond_close(
-                    idx,
-                    &Response::Error(format!(
-                        "expected hello before {}: this server speaks protocol \
-                         v{PROTOCOL_VERSION}, which negotiates at connect time",
-                        req.name()
-                    )),
-                );
-            }
-            Ok(req) if req.is_control() && settled.unwrap_or(PROTOCOL_MIN_SUPPORTED) < 3 => {
-                // Same settled-version gate as the blocking frontend.
-                self.respond(
-                    idx,
-                    &Response::Error(format!(
-                        "{} is a protocol-v3 control frame; this connection settled v{}",
-                        req.name(),
-                        settled.unwrap_or(PROTOCOL_MIN_SUPPORTED)
-                    )),
-                );
-            }
-            Ok(req) if req.is_control() && shared.draining.load(Ordering::Acquire) => {
-                self.respond(
-                    idx,
-                    &Response::Error("draining: control plane refused".into()),
-                );
-            }
-            Ok(Request::RouteAdd(routes)) => self.start_route(idx, ControlOp::Add(routes)),
-            Ok(Request::RouteWithdraw(prefixes)) => {
-                self.start_route(idx, ControlOp::Withdraw(prefixes));
-            }
-            Ok(Request::SwapDefault { next_hop }) => {
-                self.start_route(idx, ControlOp::SwapDefault(next_hop));
-            }
-            Ok(Request::StatsStream { interval_ms }) => {
-                if interval_ms == 0 {
-                    self.respond(
-                        idx,
-                        &Response::Error("stats-stream interval must be nonzero".into()),
-                    );
-                } else {
-                    if let Some(conn) = self.conn_mut(idx) {
-                        conn.stream_every = Some(Duration::from_millis(u64::from(interval_ms)));
-                        conn.last_push = Instant::now();
-                    }
-                    self.respond(idx, &Response::StatsPush(render_stats(&shared)));
-                }
-            }
-            Ok(Request::Submit { .. }) => {
-                unreachable!("greeted submits take the fast path above")
-            }
-            Ok(Request::Stats) => {
-                self.respond(idx, &Response::Stats(render_stats(&shared)));
-            }
-            Ok(Request::Drain) => {
-                shared.draining.store(true, Ordering::Release);
-                shared.tracer.flush();
-                self.park_control(idx, false);
-            }
-            Ok(Request::Shutdown) => {
-                shared.draining.store(true, Ordering::Release);
-                self.park_control(idx, true);
-            }
-            Ok(Request::Kill(shard)) => {
-                let rsp = match shared.supervisor.shards().get(shard as usize) {
-                    Some(s) => {
-                        s.die.store(true, Ordering::Release);
-                        Response::Ok
-                    }
-                    None => Response::Error(format!("no shard {shard}")),
-                };
-                self.respond(idx, &rsp);
-            }
-            Err(e @ (FrameError::Malformed(_) | FrameError::BadPacket(_))) => {
-                self.respond(idx, &Response::Error(e.to_string()));
-            }
-        }
-    }
-
-    /// Parks a drain/shutdown until the shard fleet is quiescent; the
-    /// response goes out from `poll_control`.
-    fn park_control(&mut self, idx: usize, shutdown: bool) {
-        let deadline = Instant::now() + self.shared.config.job_timeout;
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Control(PendingControl { shutdown, deadline });
-        }
-        self.enqueue_work(idx);
-        // Resolve immediately when already quiescent.
-        self.poll_control(idx);
-    }
-
-    /// Submits a route mutation to the control worker and parks the
-    /// connection; the `RouteUpdated` response goes out from
-    /// `poll_route` once the worker's drain barrier completes.
-    fn start_route(&mut self, idx: usize, op: ControlOp) {
-        let shared = Arc::clone(&self.shared);
-        let (tx, rx) = channel();
-        let reply = ControlReply::with_waker(tx, Arc::clone(&self.waker) as Arc<dyn ReplyWaker>);
-        if !shared.control.submit(op, reply) {
-            self.respond(idx, &Response::Error("control plane stopped".into()));
-            return;
-        }
-        let deadline = Instant::now() + shared.config.job_timeout;
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Route(PendingRoute { rx, deadline });
-        }
-        self.enqueue_work(idx);
-        self.poll_route(idx);
-    }
-
-    /// Collects a parked route mutation's outcome.
-    fn poll_route(&mut self, idx: usize) {
-        enum Verdict {
-            Pending,
-            Done(ControlOutcome),
-            TimedOut,
-            WorkerDied,
-        }
-        let verdict = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Route(p) = &mut conn.work else {
-                return;
-            };
-            match p.rx.try_recv() {
-                Ok(out) => Verdict::Done(out),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= p.deadline {
-                        Verdict::TimedOut
-                    } else {
-                        Verdict::Pending
-                    }
-                }
-                Err(TryRecvError::Disconnected) => Verdict::WorkerDied,
-            }
-        };
-        match verdict {
-            Verdict::Pending => {}
-            Verdict::Done(out) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(
-                    idx,
-                    &Response::RouteUpdated {
-                        generation: out.generation,
-                        routes: out.routes,
-                        applied: out.applied,
-                    },
-                );
-            }
-            Verdict::TimedOut => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(idx, &Response::Error("control op timed out".into()));
-            }
-            Verdict::WorkerDied => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(idx, &Response::Error("control worker died; retry".into()));
-            }
-        }
-    }
-
-    /// Routes the decoded submit in the connection scratch, parking it
-    /// as deferred work when a target shard queue is full.
-    fn start_submit(&mut self, idx: usize, options: SubmitOptions, decode_ns: u64) {
-        let shared = Arc::clone(&self.shared);
-        if shared.draining.load(Ordering::Acquire) {
-            self.respond(
-                idx,
-                &Response::Error("draining: new submits refused".into()),
-            );
-            return;
-        }
-        let empty = match self.conn_mut(idx) {
-            Some(conn) => conn.packets.is_empty(),
-            None => return,
-        };
-        if empty {
-            self.respond(
-                idx,
-                &Response::Batch {
-                    forwarded: 0,
-                    dropped: 0,
-                    mismatches: 0,
-                },
-            );
-            return;
-        }
-        match self.try_submit(idx, options, decode_ns) {
-            Ok(()) => {}
-            Err(shard) => {
+    /// Maps the session's answer to a frame onto this connection: write
+    /// it now, or park the wait it returned as [`Work`].
+    fn dispatch(&mut self, idx: usize, step: Step) {
+        let work = match step {
+            Step::Answer(answer) => return self.answer(idx, answer),
+            Step::Submit(wait) => Work::Submit(wait),
+            Step::Full(submit, shard) => {
                 // Full target shard: defer instead of answering Busy.
                 // Reads stay paused (the Work state gates them), so the
-                // server holds exactly one parked batch per connection —
-                // backpressure, not a Busy-storm.
-                let deadline = Instant::now() + shared.config.job_timeout;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Deferred(DeferredSubmit {
-                        options,
-                        decode_ns,
-                        blocked_shard: shard,
-                        deadline,
-                    });
-                }
-                shared
-                    .frontend
-                    .deferred_submits
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.frontend.deferred_now.fetch_add(1, Ordering::Relaxed);
-                shared.frontend.read_pauses.fetch_add(1, Ordering::Relaxed);
-                self.enqueue_work(idx);
+                // server holds exactly one parked batch per connection.
+                let frontend = &self.shared.frontend;
+                frontend.deferred_submits.fetch_add(1, Ordering::Relaxed);
+                frontend.deferred_now.fetch_add(1, Ordering::Relaxed);
+                frontend.read_pauses.fetch_add(1, Ordering::Relaxed);
+                Work::Deferred(Deferred {
+                    submit,
+                    blocked_shard: shard,
+                    deadline: Instant::now() + self.shared.config.job_timeout,
+                })
             }
-        }
-    }
-
-    /// Attempts the router submit for the packets parked in the
-    /// connection scratch. `Ok` means the connection is now in
-    /// `Work::Submit`; `Err(shard)` hands back the full shard.
-    fn try_submit(
-        &mut self,
-        idx: usize,
-        options: SubmitOptions,
-        decode_ns: u64,
-    ) -> Result<(), u16> {
-        let shared = Arc::clone(&self.shared);
-        let (tx, rx) = channel();
-        let reply = Reply::with_waker(tx, Arc::clone(&self.waker) as Arc<dyn ReplyWaker>);
-        let submitted = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return Ok(());
-            };
-            let Conn {
-                splitter, packets, ..
-            } = conn;
-            shared.router.submit(splitter, packets, options, &reply)
+            Step::Route(wait) => Work::Route(wait),
+            Step::Quiesce(wait) => Work::Quiesce(wait),
         };
-        drop(reply); // the shard-held clones are now the only senders
-        match submitted {
-            Ok(jobs) => {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let span = if shared.tracer.enabled() {
-                    let (span_id, client_assigned) = shared.tracer.assign(options.span_id);
-                    Some(PendingSpan {
-                        span_id,
-                        client_assigned,
-                        decode_ns,
-                        timings: Vec::new(),
-                    })
-                } else {
-                    None
-                };
-                let deadline = Instant::now() + shared.config.job_timeout;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Submit(PendingSubmit {
-                        rx,
-                        jobs_left: jobs,
-                        forwarded: 0,
-                        dropped: 0,
-                        mismatches: 0,
-                        span,
-                        deadline,
-                    });
-                }
-                self.enqueue_work(idx);
-                // An empty split (jobs == 0) resolves on the spot.
-                self.poll_submit(idx);
-                Ok(())
-            }
-            Err(shard) => Err(shard),
+        if let Some(conn) = self.conn_mut(idx) {
+            conn.work = work;
         }
+        self.enqueue_work(idx);
     }
 
     fn enqueue_work(&mut self, idx: usize) {
@@ -866,22 +394,12 @@ impl Reactor {
         }
         let list = std::mem::take(&mut self.work);
         for idx in list {
-            match self.conn_mut(idx) {
-                Some(conn) => conn.queued = false,
-                None => continue,
-            }
-            match self.conn_mut(idx).map(|c| match &c.work {
-                Work::Idle => 0u8,
-                Work::Submit(_) => 1,
-                Work::Deferred(_) => 2,
-                Work::Control(_) => 3,
-                Work::Route(_) => 4,
-            }) {
-                Some(1) => self.poll_submit(idx),
-                Some(2) => self.poll_deferred(idx),
-                Some(3) => self.poll_control(idx),
-                Some(4) => self.poll_route(idx),
-                _ => {}
+            let Some(conn) = self.conn_mut(idx) else {
+                continue;
+            };
+            conn.queued = false;
+            if let Some(answer) = self.poll_work(idx) {
+                self.answer(idx, answer);
             }
             if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
                 if !conn.idle() && !conn.queued {
@@ -892,194 +410,73 @@ impl Reactor {
         }
     }
 
-    /// Collects available shard outcomes for an in-flight submit,
-    /// finishing (or failing) the batch when they are all in.
-    fn poll_submit(&mut self, idx: usize) {
-        enum Verdict {
-            Pending,
-            Finished,
-            TimedOut,
-            ShardDied,
-        }
-        let verdict = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Submit(p) = &mut conn.work else {
-                return;
-            };
-            loop {
-                if p.jobs_left == 0 {
-                    break Verdict::Finished;
-                }
-                match p.rx.try_recv() {
-                    Ok(out) => {
-                        p.jobs_left -= 1;
-                        p.forwarded += out.forwarded;
-                        p.dropped += out.dropped;
-                        p.mismatches += out.mismatches;
-                        if let (Some(span), Some(t)) = (p.span.as_mut(), out.timings) {
-                            span.timings.push(t);
+    /// Polls a connection's parked work; `Some` once it resolved (the
+    /// connection is then idle again).
+    fn poll_work(&mut self, idx: usize) -> Option<Answer> {
+        let shared = &self.shared;
+        let conn = self.conns.get_mut(idx).and_then(Option::as_mut)?;
+        let now = Instant::now();
+        let answer = match &mut conn.work {
+            Work::Idle => return None,
+            Work::Submit(wait) => wait.poll(shared, now)?,
+            Work::Route(wait) => wait.poll(shared, now)?,
+            Work::Quiesce(wait) => wait.poll(shared, now)?,
+            Work::Deferred(d) => {
+                if now < d.deadline {
+                    match conn.session.submit(shared, d.submit) {
+                        Ok(wait) => {
+                            shared.frontend.deferred_now.fetch_sub(1, Ordering::Relaxed);
+                            conn.work = Work::Submit(wait);
                         }
+                        Err(shard) => d.blocked_shard = shard,
                     }
-                    Err(TryRecvError::Empty) => {
-                        if Instant::now() >= p.deadline {
-                            break Verdict::TimedOut;
-                        }
-                        break Verdict::Pending;
-                    }
-                    Err(TryRecvError::Disconnected) => break Verdict::ShardDied,
+                    return None;
                 }
+                // Past its deadline the defer becomes the `Busy` the
+                // blocking frontend would have answered at once.
+                shared.frontend.deferred_now.fetch_sub(1, Ordering::Relaxed);
+                busy(shared, d.blocked_shard)
             }
         };
-        match verdict {
-            Verdict::Pending => {}
-            Verdict::Finished => {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
-                };
-                let Work::Submit(p) = std::mem::take(&mut conn.work) else {
-                    return;
-                };
-                let rsp = Response::Batch {
-                    forwarded: p.forwarded,
-                    dropped: p.dropped,
-                    mismatches: p.mismatches,
-                };
-                let write_started = p.span.as_ref().map(|_| Instant::now());
-                self.respond(idx, &rsp);
-                if let Some(span) = p.span {
-                    let write_ns = write_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.shared.tracer.finish(&span, write_ns);
-                }
-            }
-            Verdict::TimedOut => {
-                self.fail_submit(idx, "job timed out");
-            }
-            Verdict::ShardDied => {
-                self.fail_submit(idx, "shard failed mid-batch; resubmit");
-            }
-        }
+        conn.work = Work::Idle;
+        Some(answer)
     }
 
-    fn fail_submit(&mut self, idx: usize, msg: &str) {
-        self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    /// Writes a session answer, honoring its close/stop once the egress
+    /// queue drains.
+    fn answer(&mut self, idx: usize, answer: Answer) {
         if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Idle;
-        }
-        self.respond(idx, &Response::Error(msg.into()));
-    }
-
-    /// Retries a deferred submit; past its deadline it becomes the
-    /// `Busy` the blocking frontend would have answered immediately.
-    fn poll_deferred(&mut self, idx: usize) {
-        let (options, decode_ns, blocked_shard, expired) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Deferred(d) = &conn.work else {
-                return;
-            };
-            (
-                d.options,
-                d.decode_ns,
-                d.blocked_shard,
-                Instant::now() >= d.deadline,
-            )
-        };
-        if expired {
-            self.shared
-                .frontend
-                .deferred_now
-                .fetch_sub(1, Ordering::Relaxed);
-            self.shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-            if let Some(conn) = self.conn_mut(idx) {
-                conn.work = Work::Idle;
-            }
-            self.respond(idx, &Response::Busy(blocked_shard));
-            return;
-        }
-        match self.try_submit(idx, options, decode_ns) {
-            Ok(()) => {
-                self.shared
-                    .frontend
-                    .deferred_now
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-            Err(shard) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    if let Work::Deferred(d) = &mut conn.work {
-                        d.blocked_shard = shard;
-                    }
-                }
+            match answer.then {
+                Then::Serve => {}
+                Then::Close => conn.closing = true,
+                Then::Stop => conn.shutdown_after = true,
             }
         }
-    }
-
-    /// Resolves a parked drain/shutdown once every shard queue is empty,
-    /// every shard idle, and no submit is deferred anywhere.
-    fn poll_control(&mut self, idx: usize) {
-        let (shutdown, deadline) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Control(c) = &conn.work else {
-                return;
-            };
-            (c.shutdown, c.deadline)
-        };
-        let quiesced = self.shared.supervisor.quiescent()
-            && self.shared.frontend.deferred_now.load(Ordering::Relaxed) == 0;
-        let expired = Instant::now() >= deadline;
-        if !quiesced && !expired {
-            return;
-        }
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Idle;
-        }
-        if shutdown {
-            // Mirrors the blocking frontend: shutdown answers Ok even on
-            // a drain timeout; the stop flag goes up once the response
-            // has left this connection's egress queue.
-            self.shared.tracer.flush();
-            if let Some(conn) = self.conn_mut(idx) {
-                conn.shutdown_after = true;
-            }
-            self.respond(idx, &Response::Ok);
-        } else if quiesced {
-            self.respond(idx, &Response::Drained);
-        } else {
-            self.respond(idx, &Response::Error("drain timed out".into()));
-        }
+        let shared = Arc::clone(&self.shared);
+        let _ = answer.write(&shared, |rsp| {
+            self.respond(idx, rsp);
+            Ok::<(), Infallible>(())
+        });
     }
 
     /// Enqueues a response, opportunistically flushes, and re-evaluates
     /// interest. Write failures close the connection.
     fn respond(&mut self, idx: usize, rsp: &Response) {
-        let (sent, high_water) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let sent = conn.send(rsp);
-            (sent, conn.out.high_water() as u64)
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+            return;
         };
+        rsp.encode_into(&mut conn.encoded);
+        conn.out.enqueue(&conn.encoded);
+        let sent = conn.out.write(&mut &conn.stream);
         self.shared
             .frontend
             .egress_highwater
-            .fetch_max(high_water, Ordering::Relaxed);
+            .fetch_max(conn.out.high_water() as u64, Ordering::Relaxed);
         if sent.is_err() {
             self.close_conn(idx);
             return;
         }
         self.after_io(idx);
-    }
-
-    /// `respond`, then close once the egress queue drains.
-    fn respond_close(&mut self, idx: usize, rsp: &Response) {
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.closing = true;
-        }
-        self.respond(idx, rsp);
     }
 
     /// Post-I/O bookkeeping: finish closes/shutdowns whose egress has
@@ -1088,16 +485,8 @@ impl Reactor {
         let Some(conn) = self.conn_mut(idx) else {
             return;
         };
-        let drained = conn.out.is_empty();
-        let closing = conn.closing;
-        let shutdown_after = conn.shutdown_after;
-        if drained && shutdown_after {
-            self.shared.stop.store(true, Ordering::Release);
-            self.shared.tracer.flush();
-            self.close_conn(idx);
-            return;
-        }
-        if drained && closing {
+        if conn.out.is_empty() && (conn.closing || conn.shutdown_after) {
+            // `close_conn` honors a pending shutdown.
             self.close_conn(idx);
             return;
         }
@@ -1142,71 +531,44 @@ impl Reactor {
         );
         match applied {
             Ok(()) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.read_on = want_read;
-                    conn.write_on = want_write;
-                }
+                conn.read_on = want_read;
+                conn.write_on = want_write;
             }
             Err(_) => self.close_conn(idx),
         }
     }
 
-    /// Time-driven duties wakes can't cover: stats-stream pushes, idle
-    /// deadlines, and (via `process_work` each loop) work deadlines.
+    /// Time-driven duties wakes can't cover: each session's tick (stats
+    /// pushes, idle deadlines); work deadlines run from `process_work`.
     fn sweep(&mut self) {
         if self.last_sweep.elapsed() < TICK {
             return;
         }
-        self.last_sweep = Instant::now();
         let now = Instant::now();
-        let read_timeout = self.shared.config.read_timeout;
-        self.due_push.clear();
-        self.due_close.clear();
-        for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_mut() else {
+        self.last_sweep = now;
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        for (idx, conn) in self.conns.iter_mut().enumerate() {
+            let Some(conn) = conn.as_mut() else {
                 continue;
             };
-            // Frame progress counts as activity, exactly like the
-            // blocking frontend's stall budget.
-            let progress = conn.frames.progress();
-            if progress != conn.last_seen_progress {
-                conn.last_seen_progress = progress;
-                conn.last_activity = now;
-            }
-            if let Some(every) = conn.stream_every {
-                // Streaming subscribers are deliberately quiet: pushes
-                // are the liveness signal (a dead peer surfaces as a
-                // write error), so the idle deadline does not apply.
-                conn.last_activity = now;
-                if now.duration_since(conn.last_push) >= every
-                    && conn.idle()
-                    && !conn.closing
-                    && conn.out.pending() < EGRESS_HIGH_WATER
-                {
-                    conn.last_push = now;
-                    self.due_push.push(idx);
-                }
-            } else if conn.idle()
-                && !conn.closing
-                && conn.out.is_empty()
-                && now.duration_since(conn.last_activity) >= read_timeout
-            {
-                self.due_close.push(idx);
+            let busy = !conn.idle() || conn.closing || !conn.out.is_empty();
+            match conn.session.tick(now, conn.frames.progress(), busy) {
+                Tick::Quiet => {}
+                tick => due.push((idx, tick)),
             }
         }
-        if !self.due_push.is_empty() {
-            let doc = render_stats(&self.shared);
-            let due = std::mem::take(&mut self.due_push);
-            for idx in &due {
-                self.respond(*idx, &Response::StatsPush(doc.clone()));
+        // One stats document serves every push due this sweep.
+        let mut doc = None;
+        for &(idx, tick) in &due {
+            if tick == Tick::Push {
+                let doc = doc.get_or_insert_with(|| render_stats(&self.shared));
+                self.respond(idx, &Response::StatsPush(doc.clone()));
+            } else {
+                self.close_conn(idx);
             }
-            self.due_push = due;
         }
-        let due = std::mem::take(&mut self.due_close);
-        for idx in &due {
-            self.close_conn(*idx);
-        }
-        self.due_close = due;
+        self.due = due;
     }
 
     fn close_conn(&mut self, idx: usize) {
@@ -1221,10 +583,9 @@ impl Reactor {
                 .fetch_sub(1, Ordering::Relaxed);
         }
         if conn.shutdown_after {
-            // The shutdown requester vanished before its Ok drained;
-            // honor the shutdown anyway.
-            self.shared.stop.store(true, Ordering::Release);
-            self.shared.tracer.flush();
+            // Raised once the Ok drained — or, if the requester vanished
+            // first, anyway.
+            self.shared.stop();
         }
         self.shared.frontend.conn_closed();
         self.free.push(idx);
@@ -1248,25 +609,6 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fd_exhaustion_codes_classify_and_others_do_not() {
-        assert!(
-            is_fd_exhaustion(&io::Error::from_raw_os_error(24)),
-            "EMFILE"
-        );
-        assert!(
-            is_fd_exhaustion(&io::Error::from_raw_os_error(23)),
-            "ENFILE"
-        );
-        for kind in [
-            io::ErrorKind::WouldBlock,
-            io::ErrorKind::ConnectionReset,
-            io::ErrorKind::PermissionDenied,
-        ] {
-            assert!(!is_fd_exhaustion(&io::Error::from(kind)), "{kind:?}");
-        }
-    }
 
     #[test]
     fn water_marks_leave_hysteresis_room() {

@@ -256,18 +256,6 @@ pub fn stats_json(
     doc.render()
 }
 
-/// Pulls an unsigned integer field out of a flat stats JSON document —
-/// good enough for the loadgen/tests to read totals without a parser.
-pub fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,17 +306,18 @@ mod tests {
             doc.contains("\"frontend\":{\"kind\":\"threads\""),
             "frontend object present: {doc}"
         );
-        assert_eq!(json_u64(&doc, "conns_open"), Some(1));
-        assert_eq!(json_u64(&doc, "conns_peak"), Some(1));
-        assert_eq!(json_u64(&doc, "forwarded"), Some(15));
-        assert_eq!(json_u64(&doc, "dropped"), Some(5));
-        assert_eq!(json_u64(&doc, "packets"), Some(20));
-        assert_eq!(json_u64(&doc, "lost_updates"), Some(0));
-        assert_eq!(json_u64(&doc, "busy"), Some(1));
-        assert_eq!(json_u64(&doc, "shard_restarts"), Some(1));
+        let snap = crate::snapshot::StatsSnapshot::decode(&doc).expect("decodes");
+        let front = snap.frontend.as_ref().expect("frontend section");
+        assert_eq!(front.conns_open, 1);
+        assert_eq!(front.conns_peak, 1);
+        assert_eq!(snap.forwarded, 15);
+        assert_eq!(snap.dropped, 5);
+        assert_eq!(snap.packets, 20);
+        assert_eq!(snap.lost_updates, 0);
+        assert_eq!(snap.busy, 1);
+        assert_eq!(snap.shard_restarts, 1);
         assert_eq!(
-            json_u64(&doc, "restart_carryover"),
-            Some(4),
+            snap.restart_carryover, 4,
             "per-shard carryover sums to the top level"
         );
         assert!(doc.contains("\"per_shard\""));
@@ -389,9 +378,9 @@ mod tests {
         for key in ["\"stages\"", "\"decode_ns\"", "\"execute_ns\"", "\"spans\""] {
             assert!(doc.contains(key), "missing {key} in {doc}");
         }
-        assert_eq!(json_u64(&doc, "seen"), Some(1));
         // The merged stage summary reflects the recorded sample.
         let snap = crate::snapshot::StatsSnapshot::decode(&doc).expect("decodes");
+        assert_eq!(snap.spans.as_ref().expect("spans section").seen, 1);
         let stages = snap.stages;
         assert!(
             stages
