@@ -439,7 +439,7 @@ fn main() {
             client
                 .stats_stream(every, |snap| {
                     println!(
-                        "STATS t={:.2} packets={} pps={:.0} queue_restarts={} lost_updates={}",
+                        "STATS t={:.2} packets={} pps={:.0} shard_restarts={} lost_updates={}",
                         run_start.elapsed().as_secs_f64(),
                         snap.packets,
                         snap.packets_per_sec,

@@ -50,9 +50,11 @@
 //!   sessions, with interest-based backpressure (unix only);
 //! * [`stats`] — per-shard [`memsync_trace::MetricsRegistry`] instances
 //!   merged into one stats frame (throughput, queue-depth high-water,
-//!   batch-size histogram, p50/p99 service latency);
-//! * [`snapshot`] — the typed [`snapshot::StatsSnapshot`] decode of the
-//!   stats frame (a dependency-free JSON parser);
+//!   bucketed batch-size and service-latency summaries), collected into
+//!   a [`snapshot::StatsSnapshot`];
+//! * [`snapshot`] — the stats frame's one schema: [`StatsSnapshot`] and
+//!   its section structs, each declared once with the encoder the server
+//!   renders through and the decoder clients read back with;
 //! * [`tracing`] — request-scoped spans: per-stage timings from decode to
 //!   socket write, sampled span rings, live stage histograms, and JSONL
 //!   span export (`serve --trace-spans`); zero-cost when disabled;

@@ -32,7 +32,7 @@ use crate::frame::{
 use crate::queue::{JobOutcome, Reply, ReplyWaker};
 use crate::router::ShardSplitter;
 use crate::server::Shared;
-use crate::stats::stats_json;
+use crate::stats;
 use crate::tables::{ControlOp, ControlOutcome, ControlReply};
 use crate::tracing::PendingSpan;
 use memsync_netapp::Ipv4Packet;
@@ -375,17 +375,18 @@ pub(crate) fn busy(shared: &Shared, shard: u16) -> Answer {
 /// Renders the current stats document (the Stats response and every
 /// StatsPush share it).
 pub(crate) fn render_stats(shared: &Shared) -> String {
-    stats_json(
+    stats::collect(
         shared.supervisor.shards(),
         &shared.counters,
         shared.config.backend,
         shared.supervisor.restarts(),
         shared.draining.load(Ordering::Acquire),
         shared.started,
-        Some(&shared.tracer),
-        Some((shared.config.frontend, &shared.frontend)),
-        Some(&shared.control.tables),
+        &shared.tracer,
+        (shared.config.frontend, &shared.frontend),
+        &shared.control.tables,
     )
+    .render()
 }
 
 fn server_hello(shared: &Shared, version: u16) -> ServerHello {

@@ -297,9 +297,9 @@ fn process_batch(
         reg.add("serve.lost_updates", lost_updates);
         reg.add("serve.sim_cycles", sim_cycles);
         reg.inc("serve.batches");
-        reg.record("serve.batch_size", n as u64);
+        reg.record_bucket("serve.batch_size", n as u64);
         for job in jobs.iter() {
-            reg.record(
+            reg.record_bucket(
                 "serve.service_latency_us",
                 job.enqueued.elapsed().as_micros() as u64,
             );
@@ -416,7 +416,7 @@ mod tests {
     use crate::frame::SubmitOptions;
     use crate::queue::Reply;
     use memsync_netapp::Workload;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Sender};
     use std::time::Instant;
 
     fn ctx(config: ServeConfig) -> ShardCtx {
@@ -431,6 +431,31 @@ mod tests {
             gen_seen: Arc::new(AtomicU64::new(0)),
             config,
         }
+    }
+
+    fn job(packets: &[Ipv4Packet], options: SubmitOptions, tx: &Sender<JobOutcome>) -> Job {
+        Job {
+            packets: packets.to_vec(),
+            options,
+            reply: Reply::new(tx.clone()),
+            enqueued: Instant::now(),
+        }
+    }
+
+    /// One manual activation over `jobs` instead of the full thread loop.
+    fn activate(ctx: &ShardCtx, mut jobs: Vec<Job>, shard_id: usize, picked_at: Option<Instant>) {
+        let (generation, tables) = ctx.tables.current();
+        process_batch(
+            backend::build(&ctx.config).as_mut(),
+            &PipelineModel::new(),
+            &tables,
+            &mut RouteCache::new(generation),
+            &mut jobs,
+            &mut BatchScratch::default(),
+            shard_id,
+            &ctx.stats,
+            picked_at,
+        );
     }
 
     #[test]
@@ -450,31 +475,9 @@ mod tests {
             let w = Workload::generate(77, 40, config.routes);
             let (fwd, drop) = w.reference_forward();
             let (tx, rx) = channel();
-            ctx.queue
-                .try_push(Job {
-                    packets: w.packets.clone(),
-                    options: SubmitOptions::new().verify(true),
-                    reply: Reply::new(tx),
-                    enqueued: Instant::now(),
-                })
-                .unwrap();
-            // One manual activation instead of the full thread loop.
-            let mut backend = backend::build(&ctx.config);
-            let model = PipelineModel::new();
-            let (generation, tables) = ctx.tables.current();
-            let mut classifier = RouteCache::new(generation);
-            let job = ctx.queue.try_pop().unwrap();
-            process_batch(
-                backend.as_mut(),
-                &model,
-                &tables,
-                &mut classifier,
-                &mut vec![job],
-                &mut BatchScratch::default(),
-                0,
-                &ctx.stats,
-                None,
-            );
+            let verify = SubmitOptions::new().verify(true);
+            ctx.queue.try_push(job(&w.packets, verify, &tx)).unwrap();
+            activate(&ctx, vec![ctx.queue.try_pop().unwrap()], 0, None);
             let out = rx.recv().unwrap();
             assert_eq!(out.timings, None, "{kind}: tracing off, no timings");
             assert_eq!(out.forwarded as usize, fwd, "{kind}");
@@ -488,18 +491,17 @@ mod tests {
                 0,
                 "{kind}: a conforming backend never overwrites an unconsumed value"
             );
-            assert_eq!(reg.histogram("serve.batch_size").unwrap().samples(), &[40]);
+            let batch = reg.bucket_histogram("serve.batch_size").unwrap();
+            assert_eq!((batch.count(), batch.min()), (1, Some(40)));
             if kind == BackendKind::Fast {
                 assert_eq!(reg.counter("serve.sim_cycles"), 0, "no simulator ran");
             } else {
                 assert!(reg.counter("serve.sim_cycles") > 0);
             }
             assert_eq!(
-                reg.histogram("serve.service_latency_us")
+                reg.bucket_histogram("serve.service_latency_us")
                     .unwrap()
-                    .summary()
-                    .unwrap()
-                    .count,
+                    .count(),
                 1
             );
         }
@@ -515,28 +517,9 @@ mod tests {
         };
         let ctx = ctx(config.clone());
         let w = Workload::generate(9, 24, config.routes);
-        let mut backend = backend::build(&ctx.config);
-        let model = PipelineModel::new();
-        let (generation, tables) = ctx.tables.current();
-        let mut classifier = RouteCache::new(generation);
         let (tx, rx) = channel();
-        let enqueued = Instant::now();
-        process_batch(
-            backend.as_mut(),
-            &model,
-            &tables,
-            &mut classifier,
-            &mut vec![Job {
-                packets: w.packets.clone(),
-                options: SubmitOptions::new(),
-                reply: Reply::new(tx),
-                enqueued,
-            }],
-            &mut BatchScratch::default(),
-            3,
-            &ctx.stats,
-            Some(Instant::now()),
-        );
+        let jobs = vec![job(&w.packets, SubmitOptions::new(), &tx)];
+        activate(&ctx, jobs, 3, Some(Instant::now()));
         let out = rx.recv().unwrap();
         let t = out.timings.expect("tracing on attaches timings");
         assert_eq!(t.shard, 3);
@@ -562,6 +545,41 @@ mod tests {
                 .max(),
             Some(t.execute_ns)
         );
+    }
+
+    #[test]
+    fn serve_histograms_are_bucketed_not_raw_samples() {
+        // A long-lived shard must not keep every batch size and latency
+        // sample: both serve histograms are fixed-footprint buckets.
+        let config = ServeConfig {
+            egress: 2,
+            routes: 16,
+            backend: BackendKind::Fast,
+            ..ServeConfig::default()
+        };
+        let ctx = ctx(config.clone());
+        let w = Workload::generate(5, 30, config.routes);
+        let (tx, rx) = channel();
+        let jobs = w.packets.chunks(10);
+        activate(
+            &ctx,
+            jobs.map(|p| job(p, SubmitOptions::new(), &tx)).collect(),
+            0,
+            None,
+        );
+        for _ in 0..3 {
+            rx.recv().unwrap();
+        }
+        let reg = ctx.stats.lock().unwrap();
+        assert_eq!(
+            reg.to_json().get("histograms"),
+            Some(&memsync_trace::Json::obj()),
+            "no raw-sample histogram"
+        );
+        let batch = reg.bucket_histogram("serve.batch_size").unwrap();
+        assert_eq!((batch.count(), batch.max()), (1, Some(30)));
+        let latency = reg.bucket_histogram("serve.service_latency_us").unwrap();
+        assert_eq!(latency.count(), 3, "one latency sample per job");
     }
 
     #[test]
@@ -642,27 +660,9 @@ mod tests {
         let mut counts = Vec::new();
         for _ in 0..2 {
             let ctx = ctx(config.clone());
-            let mut backend = backend::build(&ctx.config);
-            let model = PipelineModel::new();
-            let (generation, tables) = ctx.tables.current();
-            let mut classifier = RouteCache::new(generation);
             let (tx, rx) = channel();
-            process_batch(
-                backend.as_mut(),
-                &model,
-                &tables,
-                &mut classifier,
-                &mut vec![Job {
-                    packets: w.packets.clone(),
-                    options: SubmitOptions::new().verify(true),
-                    reply: Reply::new(tx),
-                    enqueued: Instant::now(),
-                }],
-                &mut BatchScratch::default(),
-                0,
-                &ctx.stats,
-                None,
-            );
+            let verify = SubmitOptions::new().verify(true);
+            activate(&ctx, vec![job(&w.packets, verify, &tx)], 0, None);
             let out = rx.recv().unwrap();
             let reg = ctx.stats.lock().unwrap();
             counts.push((

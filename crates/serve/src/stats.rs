@@ -1,18 +1,22 @@
-//! The stats frame: per-shard registries merged into one JSON document.
+//! The stats frame: per-shard registries merged into one
+//! [`StatsSnapshot`].
 //!
 //! Each shard records into its own [`MetricsRegistry`] (no cross-shard
 //! lock traffic on the hot path); a stats request snapshots every shard,
-//! merges them with [`MetricsRegistry::merge`], and renders one document:
-//! service totals, throughput, backpressure counters, queue-depth
-//! high-water marks, the batch-size histogram, and p50/p99 service
-//! latency.
+//! merges them with [`MetricsRegistry::merge`], and [`collect`] fills in
+//! the document's one schema, [`StatsSnapshot`]: service totals,
+//! throughput, backpressure counters, queue-depth high-water marks, the
+//! batch-size and service-latency summaries, and the tracing, control
+//! plane and frontend sections. The server renders it with
+//! [`StatsSnapshot::render`].
 
 use crate::backend::BackendKind;
+use crate::snapshot::{FrontendSnapshot, ShardSnapshot, StageSummarySnapshot, StatsSnapshot};
 use crate::supervisor::PublicShard;
 use crate::tables::EpochTables;
 use crate::tracing::ServeTracer;
 use crate::FrontendKind;
-use memsync_trace::{Json, MetricsRegistry};
+use memsync_trace::{BucketHistogram, MetricsRegistry, Summary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 use std::time::Instant;
@@ -29,18 +33,20 @@ pub const STAGE_METRICS: [(&str, &str); 6] = [
     ("write_ns", "serve.stage.write_ns"),
 ];
 
-/// Renders the non-empty stage histograms of `reg` as a `stages` object
-/// (stage name → bucket summary), or `None` when nothing was traced.
-fn stages_json(reg: &MetricsRegistry) -> Option<Json> {
-    let mut obj = Json::obj();
-    let mut any = false;
-    for (stage, metric) in STAGE_METRICS {
-        if let Some(s) = reg.bucket_histogram(metric).and_then(|h| h.summary()) {
-            obj.set(stage, s.to_json());
-            any = true;
-        }
-    }
-    any.then_some(obj)
+/// A bucketed histogram's summary; `None` when nothing was recorded.
+fn summary(reg: &MetricsRegistry, metric: &str) -> Option<Summary> {
+    reg.bucket_histogram(metric)
+        .and_then(BucketHistogram::summary)
+}
+
+/// The non-empty stage histograms of `reg`, in pipeline order.
+fn stages(reg: &MetricsRegistry) -> Vec<StageSummarySnapshot> {
+    STAGE_METRICS
+        .iter()
+        .filter_map(|&(stage, metric)| {
+            Some(StageSummarySnapshot::new(stage, summary(reg, metric)?))
+        })
+        .collect()
 }
 
 /// Server-global counters the acceptors maintain (everything per-shard
@@ -56,7 +62,7 @@ pub struct ServerCounters {
 }
 
 /// Connection-plane counters, maintained by whichever frontend is
-/// running; rendered as the stats document's `frontend` object.
+/// running; reported as the stats document's `frontend` section.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
     /// Connections currently open (post-cap-check).
@@ -92,186 +98,128 @@ impl FrontendStats {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn to_json(&self, kind: FrontendKind) -> Json {
-        Json::obj()
-            .with("kind", Json::Str(kind.to_string()))
-            .with("conns_open", self.conns_open.load(Ordering::Relaxed).into())
-            .with("conns_peak", self.conns_peak.load(Ordering::Relaxed).into())
-            .with(
-                "conn_rejects",
-                self.conn_rejects.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "accept_pauses",
-                self.accept_pauses.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "read_pauses",
-                self.read_pauses.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "deferred_submits",
-                self.deferred_submits.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "deferred_now",
-                self.deferred_now.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "egress_highwater_bytes",
-                self.egress_highwater.load(Ordering::Relaxed).into(),
-            )
+    /// The stats document's `frontend` section.
+    pub fn snapshot(&self, kind: FrontendKind) -> FrontendSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        FrontendSnapshot {
+            kind: kind.to_string(),
+            conns_open: load(&self.conns_open),
+            conns_peak: load(&self.conns_peak),
+            conn_rejects: load(&self.conn_rejects),
+            accept_pauses: load(&self.accept_pauses),
+            read_pauses: load(&self.read_pauses),
+            deferred_submits: load(&self.deferred_submits),
+            deferred_now: load(&self.deferred_now),
+            egress_highwater_bytes: load(&self.egress_highwater),
+        }
     }
 }
 
-/// Renders the merged stats frame.
+/// Collects the merged stats frame.
 ///
 /// `draining` and `restarts` come from the server; `started` anchors the
-/// throughput computation (forwarded+dropped packets over uptime).
-/// `tracer` (when the caller has one — the server always does) adds the
-/// `spans` section and folds the connection-side decode/write stage
-/// histograms into the merged `stages` object. `frontend` (likewise
-/// always present on a live server) adds the connection-plane `frontend`
-/// object. `fib` adds the control plane's route-table section
-/// (generation, route count, swap/retirement counters, swap-latency
-/// percentiles) so the RCU retirement property is externally auditable.
+/// throughput computation (forwarded+dropped packets over uptime). The
+/// tracer adds the `spans` section and folds the connection-side
+/// decode/write stage histograms into the merged `stages`; `frontend`
+/// adds the connection-plane counters; `fib` adds the control plane's
+/// route-table section (generation, route count, swap/retirement
+/// counters, swap-latency percentiles) so the RCU retirement property is
+/// externally auditable.
 #[allow(clippy::too_many_arguments)]
-pub fn stats_json(
+pub fn collect(
     shards: &[PublicShard],
     counters: &ServerCounters,
     backend: BackendKind,
     restarts: u64,
     draining: bool,
     started: Instant,
-    tracer: Option<&ServeTracer>,
-    frontend: Option<(FrontendKind, &FrontendStats)>,
-    fib: Option<&EpochTables>,
-) -> String {
+    tracer: &ServeTracer,
+    frontend: (FrontendKind, &FrontendStats),
+    fib: &EpochTables,
+) -> StatsSnapshot {
     let mut merged = MetricsRegistry::new();
-    let mut per_shard = Vec::with_capacity(shards.len());
-    let mut carryover_total = 0u64;
-    for (i, s) in shards.iter().enumerate() {
-        let reg = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        let snapshot = reg.clone();
-        drop(reg);
-        merged.merge(&snapshot);
-        let carryover = s.carryover.load(Ordering::Relaxed);
-        carryover_total += carryover;
-        let mut obj = Json::obj()
-            .with("shard", i.into())
-            .with("packets", snapshot.counter("serve.packets").into())
-            .with("forwarded", snapshot.counter("serve.forwarded").into())
-            .with("dropped", snapshot.counter("serve.dropped").into())
-            .with("mismatches", snapshot.counter("serve.mismatches").into())
-            .with(
-                "lost_updates",
-                snapshot.counter("serve.lost_updates").into(),
-            )
-            .with("batches", snapshot.counter("serve.batches").into())
-            .with("sim_cycles", snapshot.counter("serve.sim_cycles").into())
-            .with("queue_depth_highwater", s.queue.high_water().into())
-            .with("queue_depth", s.queue.len().into())
-            .with("restart_carryover", carryover.into());
-        if let Some(h) = snapshot
-            .histogram("serve.batch_size")
-            .and_then(|h| h.summary())
-        {
-            obj.set("batch_size", h.to_json());
-        }
-        if let Some(h) = snapshot
-            .histogram("serve.service_latency_us")
-            .and_then(|h| h.summary())
-        {
-            obj.set("service_latency_us", h.to_json());
-        }
-        if let Some(stages) = stages_json(&snapshot) {
-            obj.set("stages", stages);
-        }
-        per_shard.push(obj);
-    }
-    if let Some(t) = tracer {
-        t.merge_frontend_into(&mut merged);
-    }
+    let per_shard: Vec<ShardSnapshot> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let reg = s
+                .stats
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            merged.merge(&reg);
+            ShardSnapshot {
+                shard: i as u64,
+                packets: reg.counter("serve.packets"),
+                forwarded: reg.counter("serve.forwarded"),
+                dropped: reg.counter("serve.dropped"),
+                mismatches: reg.counter("serve.mismatches"),
+                lost_updates: reg.counter("serve.lost_updates"),
+                batches: reg.counter("serve.batches"),
+                sim_cycles: reg.counter("serve.sim_cycles"),
+                queue_depth_highwater: s.queue.high_water() as u64,
+                queue_depth: s.queue.len() as u64,
+                restart_carryover: s.carryover.load(Ordering::Relaxed),
+                batch_size: summary(&reg, "serve.batch_size"),
+                service_latency_us: summary(&reg, "serve.service_latency_us"),
+                stages: stages(&reg),
+            }
+        })
+        .collect();
+    tracer.merge_frontend_into(&mut merged);
 
     let uptime = started.elapsed().as_secs_f64().max(1e-9);
     let packets = merged.counter("serve.packets");
-    let mut doc = Json::obj()
-        .with("shards", shards.len().into())
-        .with("backend", Json::Str(backend.to_string()))
-        .with("uptime_secs", uptime.into())
-        .with("draining", draining.into())
-        .with("shard_restarts", restarts.into())
-        .with("restart_carryover", carryover_total.into())
-        .with("accepted", counters.accepted.load(Ordering::Relaxed).into())
-        .with("busy", counters.busy.load(Ordering::Relaxed).into())
-        .with("errors", counters.errors.load(Ordering::Relaxed).into())
-        .with("packets", packets.into())
-        .with("forwarded", merged.counter("serve.forwarded").into())
-        .with("dropped", merged.counter("serve.dropped").into())
-        .with("mismatches", merged.counter("serve.mismatches").into())
-        .with("lost_updates", merged.counter("serve.lost_updates").into())
-        .with("batches", merged.counter("serve.batches").into())
-        .with("sim_cycles", merged.counter("serve.sim_cycles").into())
-        .with("packets_per_sec", (packets as f64 / uptime).into());
-    if let Some(h) = merged
-        .histogram("serve.batch_size")
-        .and_then(|h| h.summary())
-    {
-        doc.set("batch_size", h.to_json());
+    let (kind, frontend) = frontend;
+    StatsSnapshot {
+        shards: shards.len() as u64,
+        backend: Some(backend),
+        uptime_secs: uptime,
+        draining,
+        shard_restarts: restarts,
+        restart_carryover: per_shard.iter().map(|s| s.restart_carryover).sum(),
+        accepted: counters.accepted.load(Ordering::Relaxed),
+        busy: counters.busy.load(Ordering::Relaxed),
+        errors: counters.errors.load(Ordering::Relaxed),
+        packets,
+        forwarded: merged.counter("serve.forwarded"),
+        dropped: merged.counter("serve.dropped"),
+        mismatches: merged.counter("serve.mismatches"),
+        lost_updates: merged.counter("serve.lost_updates"),
+        batches: merged.counter("serve.batches"),
+        sim_cycles: merged.counter("serve.sim_cycles"),
+        packets_per_sec: packets as f64 / uptime,
+        batch_size: summary(&merged, "serve.batch_size"),
+        service_latency_us: summary(&merged, "serve.service_latency_us"),
+        stages: stages(&merged),
+        spans: Some(tracer.snapshot()),
+        fib: Some(fib.snapshot()),
+        frontend: Some(frontend.snapshot(kind)),
+        per_shard,
     }
-    if let Some(h) = merged
-        .histogram("serve.service_latency_us")
-        .and_then(|h| h.summary())
-    {
-        doc.set("service_latency_us", h.to_json());
-    }
-    if let Some(stages) = stages_json(&merged) {
-        doc.set("stages", stages);
-    }
-    if let Some(t) = tracer {
-        doc.set("spans", t.to_json());
-    }
-    if let Some(tables) = fib {
-        let mut obj = Json::obj()
-            .with("generation", tables.generation().into())
-            .with("routes", tables.routes().into())
-            .with("swaps", tables.swaps().into())
-            .with("retired", tables.retired().into());
-        if let Some(s) = tables.swap_latency_summary() {
-            obj.set(
-                "swap_latency_us",
-                Json::obj()
-                    .with("count", s.count.into())
-                    .with("p50", s.p50.into())
-                    .with("p99", s.p99.into())
-                    .with("max", s.max.into()),
-            );
-        }
-        doc.set("fib", obj);
-    }
-    if let Some((kind, f)) = frontend {
-        doc.set("frontend", f.to_json(kind));
-    }
-    doc.set("per_shard", Json::Arr(per_shard));
-    doc.render()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::queue::ShardQueue;
+    use crate::shard::ShardTables;
+    use crate::tables::ControlOp;
     use crate::tracing::{PendingSpan, StageTimings, TracingConfig};
+    use memsync_netapp::fib::Route;
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
 
+    /// A shard whose registry holds one batch of `forwarded + dropped`
+    /// packets with a 100 µs service latency.
     fn mk_shard(forwarded: u64, dropped: u64, carryover: u64) -> PublicShard {
         let mut r = MetricsRegistry::new();
         r.add("serve.packets", forwarded + dropped);
         r.add("serve.forwarded", forwarded);
         r.add("serve.dropped", dropped);
         r.add("serve.batches", 1);
-        r.record("serve.batch_size", forwarded + dropped);
-        r.record("serve.service_latency_us", 100);
+        r.record_bucket("serve.batch_size", forwarded + dropped);
+        r.record_bucket("serve.service_latency_us", 100);
         PublicShard {
             queue: Arc::new(ShardQueue::new(4)),
             stats: Arc::new(Mutex::new(r)),
@@ -282,43 +230,164 @@ mod tests {
         }
     }
 
+    fn tracer(shards: usize, enabled: bool) -> ServeTracer {
+        let config = TracingConfig {
+            enabled,
+            ..TracingConfig::default()
+        };
+        ServeTracer::new(config, shards).unwrap()
+    }
+
+    /// Finishes one traced span on shard 0 whose four shard stages took
+    /// `stage_ns` each.
+    fn finish_span(tracer: &ServeTracer, stage_ns: u64) {
+        tracer.finish(
+            &PendingSpan {
+                span_id: 1,
+                client_assigned: false,
+                decode_ns: 100,
+                timings: vec![StageTimings {
+                    shard: 0,
+                    packets: 12,
+                    queue_ns: stage_ns,
+                    coalesce_ns: stage_ns,
+                    execute_ns: stage_ns,
+                    egress_ns: stage_ns,
+                    sim_cycles: 0,
+                    frames: 24,
+                }],
+            },
+            200,
+        );
+    }
+
+    /// Records the four shard-side stages on `shard`, as a traced batch
+    /// does.
+    fn record_stages(shard: &PublicShard, stage_ns: u64) {
+        let mut reg = shard.stats.lock().unwrap();
+        for (_, metric) in &STAGE_METRICS[1..5] {
+            reg.record_bucket(metric, stage_ns);
+        }
+    }
+
+    /// A control plane with one completed swap, so the `fib` section
+    /// carries the `swap_latency_us` object too.
+    fn swapped_tables() -> EpochTables {
+        let route = |prefix, len, next_hop| Route {
+            prefix,
+            len,
+            next_hop,
+        };
+        let tables = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
+        tables.mutate(&[ControlOp::Add(vec![route(0x0a00_0000, 8, 42)])]);
+        tables.retire_up_to(1);
+        tables.record_swap_latency(350);
+        tables
+    }
+
+    /// A fully populated stats frame: two shards with traffic, traced
+    /// stages on shard 0, a live tracer with one finished span, an open
+    /// connection, one route swap. The clock-derived `uptime_secs` and
+    /// `packets_per_sec` are zeroed so the rendering is reproducible.
+    pub(crate) fn full_snapshot() -> StatsSnapshot {
+        let shards = vec![mk_shard(10, 2, 3), mk_shard(5, 4, 0)];
+        record_stages(&shards[0], 900);
+        let tracer = tracer(2, true);
+        finish_span(&tracer, 900);
+        let counters = ServerCounters::default();
+        counters.accepted.store(2, Ordering::Relaxed);
+        counters.busy.store(1, Ordering::Relaxed);
+        let frontend = FrontendStats::default();
+        frontend.conn_opened();
+        let mut snap = collect(
+            &shards,
+            &counters,
+            BackendKind::Fast,
+            1,
+            false,
+            Instant::now(),
+            &tracer,
+            (FrontendKind::Reactor, &frontend),
+            &swapped_tables(),
+        );
+        snap.uptime_secs = 0.0;
+        snap.packets_per_sec = 0.0;
+        snap
+    }
+
+    /// [`full_snapshot`], rendered.
+    pub(crate) fn full_document() -> String {
+        full_snapshot().render()
+    }
+
+    /// The bytes [`full_document`] renders, pinned so that any change to
+    /// the wire format of the stats frame fails here.
+    const GOLDEN: &str = concat!(
+        r#"{"shards":2,"backend":"fast","uptime_secs":0,"draining":false,"shard_restarts":1,"re"#,
+        r#"start_carryover":3,"accepted":2,"busy":1,"errors":0,"packets":21,"forwarded":15,"dro"#,
+        r#"pped":6,"mismatches":0,"lost_updates":0,"batches":2,"sim_cycles":0,"packets_per_sec""#,
+        r#":0,"batch_size":{"count":2,"min":9,"max":12,"mean":10.5,"p50":12,"p90":12,"p99":12},"#,
+        r#""service_latency_us":{"count":2,"min":100,"max":100,"mean":100,"p50":100,"p90":100,""#,
+        r#"p99":100},"stages":{"decode_ns":{"count":1,"min":100,"max":100,"mean":100,"p50":100,"#,
+        r#""p90":100,"p99":100},"queue_ns":{"count":1,"min":900,"max":900,"mean":900,"p50":900,"#,
+        r#""p90":900,"p99":900},"coalesce_ns":{"count":1,"min":900,"max":900,"mean":900,"p50":9"#,
+        r#"00,"p90":900,"p99":900},"execute_ns":{"count":1,"min":900,"max":900,"mean":900,"p50""#,
+        r#":900,"p90":900,"p99":900},"egress_ns":{"count":1,"min":900,"max":900,"mean":900,"p50"#,
+        r#"":900,"p90":900,"p99":900},"write_ns":{"count":1,"min":200,"max":200,"mean":200,"p50"#,
+        r#"":200,"p90":200,"p99":200}},"spans":{"enabled":true,"sample_every":16,"slow_ns":5000"#,
+        r#"000,"seen":1,"exported":0,"rings":[{"shard":0,"seen":1,"recent":0,"slow":0},{"shard""#,
+        r#":1,"seen":0,"recent":0,"slow":0}]},"fib":{"generation":2,"routes":2,"swaps":1,"retir"#,
+        r#"ed":1,"swap_latency_us":{"count":1,"p50":350,"p99":350,"max":350}},"frontend":{"kind"#,
+        r#"":"reactor","conns_open":1,"conns_peak":1,"conn_rejects":0,"accept_pauses":0,"read_p"#,
+        r#"auses":0,"deferred_submits":0,"deferred_now":0,"egress_highwater_bytes":0},"per_shar"#,
+        r#"d":[{"shard":0,"packets":12,"forwarded":10,"dropped":2,"mismatches":0,"lost_updates""#,
+        r#":0,"batches":1,"sim_cycles":0,"queue_depth_highwater":0,"queue_depth":0,"restart_car"#,
+        r#"ryover":3,"batch_size":{"count":1,"min":12,"max":12,"mean":12,"p50":12,"p90":12,"p99"#,
+        r#"":12},"service_latency_us":{"count":1,"min":100,"max":100,"mean":100,"p50":100,"p90""#,
+        r#":100,"p99":100},"stages":{"queue_ns":{"count":1,"min":900,"max":900,"mean":900,"p50""#,
+        r#":900,"p90":900,"p99":900},"coalesce_ns":{"count":1,"min":900,"max":900,"mean":900,"p"#,
+        r#"50":900,"p90":900,"p99":900},"execute_ns":{"count":1,"min":900,"max":900,"mean":900,"#,
+        r#""p50":900,"p90":900,"p99":900},"egress_ns":{"count":1,"min":900,"max":900,"mean":900"#,
+        r#","p50":900,"p90":900,"p99":900}}},{"shard":1,"packets":9,"forwarded":5,"dropped":4,""#,
+        r#"mismatches":0,"lost_updates":0,"batches":1,"sim_cycles":0,"queue_depth_highwater":0,"#,
+        r#""queue_depth":0,"restart_carryover":0,"batch_size":{"count":1,"min":9,"max":9,"mean""#,
+        r#":9,"p50":9,"p90":9,"p99":9},"service_latency_us":{"count":1,"min":100,"max":100,"mea"#,
+        r#"n":100,"p50":100,"p90":100,"p99":100}}]}"#,
+    );
+
     #[test]
-    fn stats_json_merges_shards_and_is_parseable() {
+    fn full_document_matches_the_golden_bytes_and_round_trips() {
+        let doc = full_document();
+        assert_eq!(doc, GOLDEN);
+        let snap = StatsSnapshot::decode(&doc).expect("decodes");
+        assert_eq!(snap, full_snapshot());
+        assert_eq!(snap.render(), doc, "decode then render is the identity");
+    }
+
+    #[test]
+    fn collect_merges_shards_into_a_document_that_decodes() {
         let shards = vec![mk_shard(10, 2, 4), mk_shard(5, 3, 0)];
         let counters = ServerCounters::default();
         counters.accepted.store(2, Ordering::Relaxed);
         counters.busy.store(1, Ordering::Relaxed);
         let frontend = FrontendStats::default();
         frontend.conn_opened();
-        let doc = stats_json(
+        let doc = collect(
             &shards,
             &counters,
             BackendKind::Sim,
-            1,
-            false,
+            3,
+            true,
             Instant::now(),
-            None,
-            Some((FrontendKind::Threads, &frontend)),
-            None,
-        );
+            &tracer(2, false),
+            (FrontendKind::Threads, &frontend),
+            &EpochTables::new(ShardTables::from_routes(&[])),
+        )
+        .render();
         assert!(doc.contains("\"backend\":\"sim\""), "{doc}");
         assert!(
             doc.contains("\"frontend\":{\"kind\":\"threads\""),
             "frontend object present: {doc}"
-        );
-        let snap = crate::snapshot::StatsSnapshot::decode(&doc).expect("decodes");
-        let front = snap.frontend.as_ref().expect("frontend section");
-        assert_eq!(front.conns_open, 1);
-        assert_eq!(front.conns_peak, 1);
-        assert_eq!(snap.forwarded, 15);
-        assert_eq!(snap.dropped, 5);
-        assert_eq!(snap.packets, 20);
-        assert_eq!(snap.lost_updates, 0);
-        assert_eq!(snap.busy, 1);
-        assert_eq!(snap.shard_restarts, 1);
-        assert_eq!(
-            snap.restart_carryover, 4,
-            "per-shard carryover sums to the top level"
         );
         assert!(doc.contains("\"per_shard\""));
         assert!(doc.contains("\"p99\""), "latency percentiles present");
@@ -327,61 +396,66 @@ mod tests {
             !doc.contains("\"stages\""),
             "no tracing, no stage section: {doc}"
         );
+        let snap = StatsSnapshot::decode(&doc).expect("decodes");
+        assert_eq!(snap.shards, 2);
+        assert_eq!(snap.backend, Some(BackendKind::Sim));
+        assert!(snap.draining);
+        assert_eq!(snap.shard_restarts, 3);
+        assert_eq!(
+            snap.restart_carryover, 4,
+            "per-shard carryover sums to the top level"
+        );
+        assert_eq!(snap.accepted, 2);
+        assert_eq!(snap.busy, 1);
+        assert_eq!(snap.packets, 20);
+        assert_eq!(snap.forwarded, 15);
+        assert_eq!(snap.dropped, 5);
+        assert_eq!(snap.lost_updates, 0);
+        assert_eq!(snap.per_shard.len(), 2);
+        assert_eq!(snap.per_shard[0].forwarded, 10);
+        assert_eq!(snap.per_shard[0].restart_carryover, 4);
+        assert_eq!(snap.per_shard[1].dropped, 3);
+        assert!(snap.uptime_secs >= 0.0);
+        assert!(snap.stages.is_empty(), "no tracing, no stages");
+        let spans = snap.spans.expect("spans section");
+        assert!(!spans.enabled, "tracing off, and the section says so");
+        let front = snap.frontend.as_ref().expect("frontend section");
+        assert_eq!(front.conns_open, 1);
+        assert_eq!(front.conns_peak, 1);
+        let fib = snap.fib.expect("fib section");
+        assert_eq!(
+            (fib.generation, fib.swap_latency_us),
+            (1, None),
+            "no swap yet"
+        );
     }
 
     #[test]
     fn traced_stats_carry_stage_summaries_and_the_spans_section() {
         let shards = vec![mk_shard(10, 2, 0)];
-        {
-            let mut reg = shards[0].stats.lock().unwrap();
-            for (_, metric) in STAGE_METRICS.iter().skip(1).take(4) {
-                reg.record_bucket(metric, 1500);
-            }
-        }
-        let tracer = ServeTracer::new(
-            TracingConfig {
-                enabled: true,
-                ..TracingConfig::default()
-            },
-            1,
-        )
-        .unwrap();
-        tracer.finish(
-            &PendingSpan {
-                span_id: 7,
-                client_assigned: true,
-                decode_ns: 800,
-                timings: vec![StageTimings {
-                    shard: 0,
-                    packets: 12,
-                    queue_ns: 1500,
-                    coalesce_ns: 1500,
-                    execute_ns: 1500,
-                    egress_ns: 1500,
-                    sim_cycles: 0,
-                    frames: 24,
-                }],
-            },
-            300,
-        );
-        let doc = stats_json(
+        record_stages(&shards[0], 1500);
+        let tracer = tracer(1, true);
+        finish_span(&tracer, 1500);
+        let doc = collect(
             &shards,
             &ServerCounters::default(),
             BackendKind::Fast,
             0,
             false,
             Instant::now(),
-            Some(&tracer),
-            Some((FrontendKind::Reactor, &FrontendStats::default())),
-            None,
-        );
+            &tracer,
+            (FrontendKind::Reactor, &FrontendStats::default()),
+            &EpochTables::new(ShardTables::from_routes(&[])),
+        )
+        .render();
         for key in ["\"stages\"", "\"decode_ns\"", "\"execute_ns\"", "\"spans\""] {
             assert!(doc.contains(key), "missing {key} in {doc}");
         }
         // The merged stage summary reflects the recorded sample.
-        let snap = crate::snapshot::StatsSnapshot::decode(&doc).expect("decodes");
+        let snap = StatsSnapshot::decode(&doc).expect("decodes");
         assert_eq!(snap.spans.as_ref().expect("spans section").seen, 1);
         let stages = snap.stages;
+        assert_eq!(stages.len(), STAGE_METRICS.len(), "{stages:?}");
         assert!(
             stages
                 .iter()

@@ -24,7 +24,8 @@
 //!
 //! [`BucketHistogram`]: memsync_trace::BucketHistogram
 
-use memsync_trace::{Json, JsonlSink, MetricsRegistry, SpanRecord};
+use crate::snapshot::{SpanRingSnapshot, SpansSnapshot};
+use memsync_trace::{JsonlSink, MetricsRegistry, SpanRecord};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -290,27 +291,31 @@ impl ServeTracer {
         reg.merge(&self.frontend.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
-    /// The tracing section of the stats document: totals plus per-shard
-    /// ring occupancy.
-    pub fn to_json(&self) -> Json {
-        let mut per_shard = Vec::new();
-        for (i, ring) in self.rings.iter().enumerate() {
-            let r = ring.lock().unwrap_or_else(PoisonError::into_inner);
-            per_shard.push(
-                Json::obj()
-                    .with("shard", i.into())
-                    .with("seen", r.seen.into())
-                    .with("recent", r.recent.len().into())
-                    .with("slow", r.slow.len().into()),
-            );
+    /// The stats document's `spans` section: totals plus per-shard ring
+    /// occupancy.
+    pub fn snapshot(&self) -> SpansSnapshot {
+        let rings = self
+            .rings
+            .iter()
+            .enumerate()
+            .map(|(i, ring)| {
+                let r = ring.lock().unwrap_or_else(PoisonError::into_inner);
+                SpanRingSnapshot {
+                    shard: i as u64,
+                    seen: r.seen,
+                    recent: r.recent.len() as u64,
+                    slow: r.slow.len() as u64,
+                }
+            })
+            .collect();
+        SpansSnapshot {
+            enabled: self.config.enabled,
+            sample_every: u64::from(self.config.sample_every),
+            slow_ns: self.config.slow_ns,
+            seen: self.spans_seen(),
+            exported: self.spans_exported(),
+            rings,
         }
-        Json::obj()
-            .with("enabled", self.config.enabled.into())
-            .with("sample_every", u64::from(self.config.sample_every).into())
-            .with("slow_ns", self.config.slow_ns.into())
-            .with("seen", self.spans_seen().into())
-            .with("exported", self.spans_exported().into())
-            .with("rings", Json::Arr(per_shard))
     }
 }
 
@@ -437,18 +442,25 @@ mod tests {
     }
 
     #[test]
-    fn json_section_reports_rings() {
+    fn spans_section_reports_rings() {
         let t = ServeTracer::new(enabled_config(), 2).unwrap();
-        let s = t.to_json().render();
-        for key in [
-            "enabled",
-            "sample_every",
-            "slow_ns",
-            "seen",
-            "exported",
-            "rings",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
+        t.finish(
+            &PendingSpan {
+                span_id: 1,
+                client_assigned: true,
+                decode_ns: 10,
+                timings: vec![timings(1, 300_000)],
+            },
+            5,
+        );
+        let s = t.snapshot();
+        assert!(s.enabled);
+        assert_eq!((s.sample_every, s.slow_ns), (2, 1_000_000));
+        assert_eq!((s.seen, s.exported), (1, 0));
+        assert_eq!(s.rings.len(), 2);
+        assert_eq!(
+            (s.rings[1].shard, s.rings[1].seen, s.rings[1].slow),
+            (1, 1, 1)
+        );
     }
 }

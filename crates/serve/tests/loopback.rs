@@ -69,8 +69,11 @@ fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
         400,
         "per-shard packets add up to the total"
     );
-    // The raw document stays available and carries the histograms the
-    // typed snapshot does not model.
+    // The snapshot carries the histogram summaries: one batch-size
+    // sample per activation.
+    assert_eq!(snap.batch_size.map(|s| s.count), Some(snap.batches));
+    assert!(snap.service_latency_us.is_some());
+    // The raw document stays available.
     let doc = client.stats_raw().expect("raw stats");
     assert!(doc.contains("\"service_latency_us\""));
 

@@ -7,4 +7,4 @@
 //! a bare recorder. This module re-exports the types so existing
 //! `memsync_sim::metrics::…` paths keep working.
 
-pub use memsync_trace::{HistSummary, Histogram, LatencyRecorder, LatencyStats, MetricsRegistry};
+pub use memsync_trace::{Histogram, LatencyRecorder, LatencyStats, MetricsRegistry, Summary};

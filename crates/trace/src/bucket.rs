@@ -13,7 +13,7 @@
 //! tracing acceptance test pins live snapshots against offline span
 //! recomputation with.
 
-use crate::json::Json;
+use crate::registry::Summary;
 
 /// Number of buckets: one zero bucket plus one per power of two of `u64`.
 pub const BUCKETS: usize = 64;
@@ -143,8 +143,8 @@ impl BucketHistogram {
     }
 
     /// Percentile summary; `None` when empty.
-    pub fn summary(&self) -> Option<BucketSummary> {
-        (self.count > 0).then(|| BucketSummary {
+    pub fn summary(&self) -> Option<Summary> {
+        (self.count > 0).then(|| Summary {
             count: self.count,
             min: self.min,
             max: self.max,
@@ -153,41 +153,6 @@ impl BucketHistogram {
             p90: self.percentile(0.90).expect("non-empty"),
             p99: self.percentile(0.99).expect("non-empty"),
         })
-    }
-}
-
-/// Percentile summary of a [`BucketHistogram`]. Percentiles are bucket
-/// upper bounds; min/max are exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BucketSummary {
-    /// Sample count.
-    pub count: u64,
-    /// Exact minimum.
-    pub min: u64,
-    /// Exact maximum.
-    pub max: u64,
-    /// Mean (saturating sum / count).
-    pub mean: f64,
-    /// Median (bucket upper bound).
-    pub p50: u64,
-    /// 90th percentile (bucket upper bound).
-    pub p90: u64,
-    /// 99th percentile (bucket upper bound).
-    pub p99: u64,
-}
-
-impl BucketSummary {
-    /// Renders the summary as a JSON object (same shape as
-    /// [`HistSummary`](crate::registry::HistSummary)).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("count", self.count.into())
-            .with("min", self.min.into())
-            .with("max", self.max.into())
-            .with("mean", self.mean.into())
-            .with("p50", self.p50.into())
-            .with("p90", self.p90.into())
-            .with("p99", self.p99.into())
     }
 }
 

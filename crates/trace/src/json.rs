@@ -148,7 +148,13 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document (`[[[[…`) overflow the stack instead of failing.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -176,11 +182,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonParseError> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -267,23 +277,22 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        JsonParseError {
-                            at: self.pos,
-                            message: "invalid utf-8".into(),
-                        }
-                    })?;
-                    let ch = rest.chars().next().expect("nonempty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go; both are ASCII, so the run ends on a char
+                    // boundary of the source `&str`.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -296,7 +305,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.eat(b':')?;
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -309,7 +318,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -318,7 +327,7 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -340,13 +349,15 @@ impl Json {
     /// # Errors
     ///
     /// Returns the byte offset and cause of the first syntax error,
-    /// including trailing garbage after the document.
+    /// including trailing garbage after the document and nesting deeper
+    /// than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return p.err("trailing garbage after document");
@@ -537,6 +548,19 @@ mod tests {
         }
         let e = Json::parse("{\"a\": @}").unwrap_err();
         assert_eq!(e.at, 6, "{e}");
+    }
+
+    #[test]
+    fn parse_refuses_deep_nesting_instead_of_overflowing_the_stack() {
+        for open in ["[", "{\"k\":"] {
+            let e = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        let e = Json::parse(&over).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
     }
 
     #[test]

@@ -42,11 +42,11 @@ pub mod sink;
 pub mod span;
 pub mod vcd;
 
-pub use bucket::{BucketHistogram, BucketSummary};
+pub use bucket::BucketHistogram;
 pub use event::{EventKind, Port, Role, TraceEvent};
 pub use json::Json;
 pub use latency::{LatencyRecorder, LatencyStats};
 pub use prng::Pcg32;
-pub use registry::{HistSummary, Histogram, MetricsRegistry, RecordingSink};
+pub use registry::{Histogram, MetricsRegistry, RecordingSink, Summary};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, SharedSink, TraceSink, VecSink};
 pub use span::SpanRecord;

@@ -49,11 +49,13 @@ pub struct Histogram {
     samples: Vec<u64>,
 }
 
-/// Percentile summary of a [`Histogram`].
+/// Percentile summary of a [`Histogram`] or a
+/// [`BucketHistogram`]. A bucketed summary's percentiles are bucket
+/// upper bounds; its min/max are exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistSummary {
+pub struct Summary {
     /// Sample count.
-    pub count: usize,
+    pub count: u64,
     /// Minimum.
     pub min: u64,
     /// Maximum.
@@ -80,10 +82,10 @@ impl Histogram {
     }
 
     /// Percentile summary; `None` when empty.
-    pub fn summary(&self) -> Option<HistSummary> {
+    pub fn summary(&self) -> Option<Summary> {
         let s = LatencyStats::of(&self.samples)?;
-        Some(HistSummary {
-            count: s.count,
+        Some(Summary {
+            count: s.count as u64,
             min: s.min,
             max: s.max,
             mean: s.mean,
@@ -94,7 +96,7 @@ impl Histogram {
     }
 }
 
-impl HistSummary {
+impl Summary {
     /// Renders the summary as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj()
